@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -309,9 +310,8 @@ func TestScanQueryAmplificationGate(t *testing.T) {
 //  1. Allocations: a warm cached Resolve through a context that explicitly
 //     carries a nil span must allocate exactly what a bare context does.
 //  2. Time: a 32-worker warm-infrastructure scan pass under the nil-span
-//     context must stay within 5% of the bare-context pass. Both sides take
-//     the minimum of interleaved runs, which strips scheduler noise the way
-//     a mean cannot.
+//     context must stay within 5% of the bare-context pass, judged on the
+//     median ratio over many paired, alternating passes.
 func TestTraceOverheadGate(t *testing.T) {
 	tb, w, _ := fixtures(t)
 
@@ -357,10 +357,13 @@ func TestTraceOverheadGate(t *testing.T) {
 		runtime.GC() // keep collector pauses out of the measured window
 		return pass(ctx)
 	}
-	var minBase, minNil time.Duration
-	for i := 0; i < 10; i++ {
-		// Alternate the order so drift (heap growth, CPU thermal state)
-		// cannot systematically favour one side.
+	// Many short paired passes, alternating which side runs first so drift
+	// (heap growth, CPU frequency) cannot favour one side, gated on the
+	// median of the per-pair ratios: one pass caught by a scheduler stall
+	// moves one ratio, not the verdict.
+	const pairs = 61
+	ratios := make([]float64, pairs)
+	for i := range ratios {
 		first, second := plain, nilSpan
 		if i%2 == 1 {
 			first, second = nilSpan, plain
@@ -370,17 +373,14 @@ func TestTraceOverheadGate(t *testing.T) {
 		if i%2 == 1 {
 			dBase, dNil = dSecond, dFirst
 		}
-		if minBase == 0 || dBase < minBase {
-			minBase = dBase
-		}
-		if minNil == 0 || dNil < minNil {
-			minNil = dNil
-		}
+		ratios[i] = float64(dNil) / float64(dBase)
 	}
-	ratio := float64(minNil) / float64(minBase)
-	t.Logf("32-worker pass: bare ctx %v, nil-span ctx %v (ratio %.3f)", minBase, minNil, ratio)
-	if ratio > 1.05 {
-		t.Errorf("disabled tracing costs %.1f%% on the 32-worker scan pass, gate is 5%%", 100*(ratio-1))
+	sort.Float64s(ratios)
+	median := ratios[pairs/2]
+	t.Logf("32-worker pass, nil-span over bare ctx across %d pairs: median %.3f, quartiles %.3f-%.3f",
+		pairs, median, ratios[pairs/4], ratios[3*pairs/4])
+	if median > 1.05 {
+		t.Errorf("disabled tracing costs %.1f%% (median pair) on the 32-worker scan pass, gate is 5%%", 100*(median-1))
 	}
 }
 
@@ -909,8 +909,11 @@ func wireBenchSetup(t testing.TB) (*frontend.Frontend, []byte) {
 	tb, _, _ := fixtures(t)
 	fe := benchFrontend(tb)
 	q := dnswire.NewQuery(1, testbed.ParentZone.Child("valid"), dnswire.TypeA)
-	if _, err := fe.HandleDNS(context.Background(), q); err != nil {
-		t.Fatal(err)
+	// The fill, then the first cache hit, which captures the wire image.
+	for i := 0; i < 2; i++ {
+		if _, err := fe.HandleDNS(context.Background(), q); err != nil {
+			t.Fatal(err)
+		}
 	}
 	raw, err := q.Pack()
 	if err != nil {
@@ -921,7 +924,7 @@ func wireBenchSetup(t testing.TB) (*frontend.Frontend, []byte) {
 		t.Fatal("bench query not scannable")
 	}
 	if _, ok := fe.ServeWire(wq, 0xFFFF, nil); !ok {
-		t.Fatal("wire variant not captured by the warming query")
+		t.Fatal("wire variant not captured by the warming queries")
 	}
 	return fe, raw
 }

@@ -223,7 +223,9 @@ func main() {
 		// it returns the frontend bare (which auto-detect would find even
 		// under -no-wire-cache) — so both wire and disableWire are always
 		// set here. Wire hits bypass tracing: they never start a
-		// resolution, so there is no trace.
+		// resolution, so there is no trace. That includes error-cache
+		// hits (the SERVFAIL+EDE answers) on UDP, TCP and DoT;
+		// -no-wire-cache sends them back through the traced Handler.
 		var wire transport.WireServer
 		if fe != nil && !*noWireCache {
 			wire = fe

@@ -62,8 +62,9 @@ type entry struct {
 
 	// wires holds the pre-packed response images for the wire fast path,
 	// one per EDNS class (wirePlain / wireEDNS), captured lazily from the
-	// first slow-path reply of each class. nil until captured; immutable
-	// once published. See wire.go.
+	// first slow-path cache hit of each class. nil until captured; each
+	// published image is immutable (an error entry's image is replaced
+	// when its EDE 13 countdown moves on). See wire.go.
 	wires [2]atomic.Pointer[wireVariant]
 }
 

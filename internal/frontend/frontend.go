@@ -104,6 +104,11 @@ const (
 type served struct {
 	mode serveMode
 	e    *entry
+	// hit marks a fresh cache hit (positive, negative or error-cache)
+	// answered without a flight. Only those replies are captured as wire
+	// images, so a name asked once never pays for one, and stale or
+	// first-failure replies never become one.
+	hit bool
 }
 
 // Frontend is the caching serving layer: a netsim.Handler over any
@@ -170,12 +175,12 @@ func (f *Frontend) HandleDNS(ctx context.Context, q *dnswire.Message) (*dnswire.
 			if sp != nil {
 				sp.Eventf("frontend cache: fresh error-cache hit for %s %s (rcode %s)", k.name, k.qtype, e.rcode)
 			}
-			return f.reply(q, k, &served{mode: modeCachedError, e: e}, now), nil
+			return f.reply(q, k, &served{mode: modeCachedError, e: e, hit: true}, now), nil
 		}
 		if sp != nil {
 			sp.Eventf("frontend cache: fresh hit for %s %s (stored %s ago)", k.name, k.qtype, now.Sub(e.storedAt).Round(time.Second))
 		}
-		return f.reply(q, k, &served{mode: modeFresh, e: e}, now), nil
+		return f.reply(q, k, &served{mode: modeFresh, e: e, hit: true}, now), nil
 	}
 
 	// Miss (or stale entry needing a refresh attempt): coalesce so M
@@ -401,13 +406,9 @@ func (f *Frontend) reply(q *dnswire.Message, k key, sv *served, now time.Time) *
 	case modeCachedError:
 		// The paper's Cloudflare idiom: EXTRA-TEXT is the bare retry
 		// delay in seconds ("114") until the error cache entry expires.
-		retry := int64(e.expiresAt.Sub(now) / time.Second)
-		if retry < 1 {
-			retry = 1
-		}
-		f.addEDE(out, uint16(ede.CodeCachedError), strconv.FormatInt(retry, 10))
+		f.addEDE(out, uint16(ede.CodeCachedError), strconv.FormatUint(uint64(retryDelay(e, now)), 10))
 	}
-	if sv.mode == modeFresh && !e.isError {
+	if sv.hit {
 		f.maybeCaptureWire(e, out, now)
 	}
 	return out

@@ -14,13 +14,26 @@ import (
 // things in place — the 2-byte ID, the RD header bit, and each TTL —
 // with no message rebuild and no re-pack.
 //
-// Variants are captured lazily from the slow path: the first fresh hit of
-// each EDNS class packs its (already correct) reply once with TTL-offset
-// recording and publishes it on the entry. Byte identity with the slow
-// path is therefore by construction, and the TTL patch reproduces the
-// slow path's decay arithmetic exactly: a stored TTL is
+// Variants are captured lazily from the slow path: the first fresh cache
+// hit of each EDNS class packs its (already correct) reply once with
+// TTL-offset recording and publishes it on the entry. The reply to the
+// miss that filled the entry is not captured, so a name asked only once —
+// a scan target, a random subdomain — costs no image. Byte identity with
+// the slow path is therefore by construction, and the TTL patch reproduces
+// the slow path's decay arithmetic exactly: a stored TTL is
 // max(orig-baseAge, 1), and patching by delta = age-baseAge yields
 // max(orig-age, 1) in every case.
+//
+// Error-cache entries (the SERVFAIL+EDE answers) are captured the same
+// way. Their only time-dependent bytes are the EDE 13 EXTRA-TEXT, the
+// whole seconds left until the entry expires, so an error image records
+// the countdown value it carries and is served only while the current
+// countdown still equals it. The first error-cache hit of each new second
+// declines, the slow path answers it and re-captures the image, and every
+// later hit in that second is a wire hit. Stale serves and first-failure
+// replies are never captured (neither is a cache hit): the former follow a
+// failed refresh attempt and carry RFC 8767 TTLs, the latter carry no
+// EDE 13.
 
 // Variant indices: one pre-packed image per EDNS class, because an EDNS
 // client's reply carries an OPT (and any entry EDEs) while a pre-EDNS
@@ -42,13 +55,18 @@ type wireVariant struct {
 	// edeCodes are the EDE info-codes the reply carries, re-counted on
 	// every wire hit so emission metrics match the slow path.
 	edeCodes []uint16
+	// retry is the EDE 13 retry delay in seconds an error image carries;
+	// 0 for non-error entries and for error replies without an OPT, whose
+	// bytes do not depend on the clock.
+	retry uint32
 }
 
 // ServeWire answers a scanned query from the cached wire image, appending
 // the response to dst. ok=false means no compatible image exists (miss,
-// stale, error-cache entry, not captured yet, or the image exceeds limit)
-// and the caller must fall back to the full path. The fast path performs
-// no allocations beyond what dst's capacity forces.
+// stale, not captured yet, an error image whose EDE 13 countdown has moved
+// on, or the image exceeds limit) and the caller must fall back to the full
+// path. The fast path performs no allocations beyond what dst's capacity
+// forces.
 func (f *Frontend) ServeWire(q dnswire.WireQuery, limit int, dst []byte) ([]byte, bool) {
 	if q.Class != dnswire.ClassIN {
 		return nil, false
@@ -56,7 +74,7 @@ func (f *Frontend) ServeWire(q dnswire.WireQuery, limit int, dst []byte) ([]byte
 	k := key{name: q.Name, qtype: q.Type, do: q.DO, cd: q.CD}
 	now := f.cfg.Now()
 	e, fresh, ok := f.cache.get(k, now, f.cfg.StaleWindow)
-	if !ok || !fresh || e.isError {
+	if !ok || !fresh {
 		return nil, false
 	}
 	idx := wirePlain
@@ -69,10 +87,17 @@ func (f *Frontend) ServeWire(q dnswire.WireQuery, limit int, dst []byte) ([]byte
 		// both are the slow path's job.
 		return nil, false
 	}
+	if v.retry != 0 && v.retry != retryDelay(e, now) {
+		// The EDE 13 countdown moved on: the slow path re-captures.
+		return nil, false
+	}
 
 	f.metrics.queries.Add(1)
 	f.metrics.hits.Add(1)
 	f.metrics.wireHits.Add(1)
+	if e.isError {
+		f.metrics.cachedErrors.Add(1)
+	}
 	for _, c := range v.edeCodes {
 		f.metrics.countEDE(c)
 	}
@@ -103,29 +128,39 @@ func (f *Frontend) ServeWire(q dnswire.WireQuery, limit int, dst []byte) ([]byte
 }
 
 // maybeCaptureWire publishes out as the entry's pre-packed image for its
-// EDNS class, once. Called from reply() for fresh non-error serves only —
-// stale replies and error-cache replies carry per-hit dynamic content
-// (fixed stale TTLs aside, the EDE 13 retry countdown changes every
-// second) and are never wire-served.
+// EDNS class. Called from reply() for fresh cache hits only, error-cache
+// hits included (see the file comment). An image is captured once, except
+// that an error image whose EDE 13 countdown is out of date is replaced.
 func (f *Frontend) maybeCaptureWire(e *entry, out *dnswire.Message, now time.Time) {
 	idx := wirePlain
+	var retry uint32
 	if out.OPT != nil {
 		idx = wireEDNS
+		if e.isError {
+			retry = retryDelay(e, now)
+		}
 	}
-	if e.wires[idx].Load() != nil {
+	if old := e.wires[idx].Load(); old != nil && old.retry == retry {
 		return
 	}
 	wire, offs, err := out.AppendPackTTLOffsets(nil, nil)
 	if err != nil {
 		return
 	}
-	v := &wireVariant{wire: wire, ttlOffs: offs, baseAge: entryAge(e, now)}
+	v := &wireVariant{wire: wire, ttlOffs: offs, baseAge: entryAge(e, now), retry: retry}
 	if out.OPT != nil {
 		for _, o := range out.EDEs() {
 			v.edeCodes = append(v.edeCodes, o.InfoCode)
 		}
 	}
 	e.wires[idx].Store(v)
+}
+
+// retryDelay is the EDE 13 EXTRA-TEXT value of an error-cache entry at
+// now: the whole seconds until it expires, at least 1 (the paper's
+// Cloudflare idiom).
+func retryDelay(e *entry, now time.Time) uint32 {
+	return uint32(max(1, int64(e.expiresAt.Sub(now)/time.Second)))
 }
 
 // entryAge is the whole seconds since the entry was stored, matching the

@@ -3,11 +3,13 @@ package frontend
 import (
 	"bytes"
 	"context"
+	"strconv"
 	"testing"
 	"time"
 
 	"github.com/extended-dns-errors/edelab/internal/dnswire"
 	"github.com/extended-dns-errors/edelab/internal/ede"
+	"github.com/extended-dns-errors/edelab/internal/telemetry"
 )
 
 // wireQueryMsg builds a client query in one of the three EDNS classes the
@@ -41,10 +43,13 @@ func dnssecAnswer(qname dnswire.Name, ttl uint32) *dnswire.Message {
 	return m
 }
 
-// serveBoth primes f (if needed), then answers q via the slow path and the
-// wire fast path at the same instant, returning both packed responses.
+// serveBoth answers q via the slow path and the wire fast path at the same
+// instant, returning both packed responses. The slow path runs twice: when
+// the first call fills (or refills) the cache, the second is the cache hit
+// that captures the wire image.
 func serveBoth(t *testing.T, f *Frontend, q *dnswire.Message, limit int) (slow []byte, fast []byte, ok bool) {
 	t.Helper()
+	primeWire(t, f, q)
 	resp, err := f.HandleDNS(context.Background(), q)
 	if err != nil {
 		t.Fatalf("HandleDNS: %v", err)
@@ -63,6 +68,15 @@ func serveBoth(t *testing.T, f *Frontend, q *dnswire.Message, limit int) (slow [
 	}
 	fast, ok = f.ServeWire(wq, limit, nil)
 	return slow, fast, ok
+}
+
+// primeWire serves q once on the slow path: a cache hit, when q's answer is
+// already cached, which captures the wire image of q's EDNS class.
+func primeWire(t *testing.T, f *Frontend, q *dnswire.Message) {
+	t.Helper()
+	if _, err := f.HandleDNS(context.Background(), q); err != nil {
+		t.Fatalf("HandleDNS: %v", err)
+	}
 }
 
 // TestWireHitByteIdentity is the tentpole correctness gate: for every
@@ -105,11 +119,8 @@ func TestWireHitByteIdentity(t *testing.T) {
 					f := New(up, Config{Now: clock.Now})
 
 					q := func(id uint16) *dnswire.Message { return wireQueryMsg(id, "www.example.", cd, cl.edns, cl.do) }
-					// Prime: the miss both fills the cache and captures the
-					// wire variant for this EDNS class.
-					if _, err := f.HandleDNS(context.Background(), q(1)); err != nil {
-						t.Fatal(err)
-					}
+					// Prime: the miss fills the cache.
+					primeWire(t, f, q(1))
 					// Cumulative ages 0s, 3s, 7s: same-second hits, partial
 					// decay, and (for the 5s-TTL case) expiry + refetch, so
 					// the recapture path is byte-identical too.
@@ -138,9 +149,9 @@ func TestWireHitPatchesIDAndRD(t *testing.T) {
 		return positive(qname, 100), nil
 	})
 	f := New(up, Config{Now: clock.Now})
-	if _, err := f.HandleDNS(context.Background(), wireQueryMsg(1, "www.example.", false, true, true)); err != nil {
-		t.Fatal(err)
-	}
+	// Fill, then the first cache hit captures the EDNS image.
+	primeWire(t, f, wireQueryMsg(1, "www.example.", false, true, true))
+	primeWire(t, f, wireQueryMsg(1, "www.example.", false, true, true))
 
 	q := wireQueryMsg(0xABCD, "www.example.", false, true, true)
 	q.RecursionDesired = false
@@ -165,8 +176,10 @@ func TestWireHitPatchesIDAndRD(t *testing.T) {
 	}
 }
 
-// TestWireFallsBack enumerates the declines: miss, stale entry, error-cache
-// entry, wrong class, oversized reply, and the uncaptured EDNS class.
+// TestWireFallsBack enumerates the declines: miss, an entry only the
+// filling miss has answered, stale entry (also after a stale slow-path
+// serve), wrong class, oversized reply, the uncaptured EDNS class, and an
+// error image whose EDE 13 countdown has moved on.
 func TestWireFallsBack(t *testing.T) {
 	clock := newClock()
 	up := &stubUpstream{}
@@ -174,9 +187,9 @@ func TestWireFallsBack(t *testing.T) {
 		return positive(qname, 100), nil
 	})
 	f := New(up, Config{Now: clock.Now})
-	if _, err := f.HandleDNS(context.Background(), wireQueryMsg(1, "www.example.", false, true, true)); err != nil {
-		t.Fatal(err)
-	}
+	// Fill, then the first cache hit captures the EDNS image.
+	primeWire(t, f, wireQueryMsg(1, "www.example.", false, true, true))
+	primeWire(t, f, wireQueryMsg(1, "www.example.", false, true, true))
 	scan := func(m *dnswire.Message) dnswire.WireQuery {
 		raw, _ := m.Pack()
 		wq, ok := dnswire.ScanQuery(raw)
@@ -188,6 +201,10 @@ func TestWireFallsBack(t *testing.T) {
 
 	if _, ok := f.ServeWire(scan(wireQueryMsg(2, "other.example.", false, true, true)), 0xFFFF, nil); ok {
 		t.Error("served a cache miss from the wire path")
+	}
+	primeWire(t, f, wireQueryMsg(1, "once.example.", false, true, true))
+	if _, ok := f.ServeWire(scan(wireQueryMsg(2, "once.example.", false, true, true)), 0xFFFF, nil); ok {
+		t.Error("served an image captured from the miss that filled the entry (only cache hits capture)")
 	}
 	if _, ok := f.ServeWire(scan(wireQueryMsg(2, "www.example.", false, false, false)), 0xFFFF, nil); ok {
 		t.Error("served the never-captured no-EDNS class")
@@ -206,17 +223,38 @@ func TestWireFallsBack(t *testing.T) {
 		t.Error("served a stale entry from the wire path (stale serves carry EDE 3)")
 	}
 
-	// Error-cache entries are never wire-served: their EDE 13 retry text
-	// changes every second.
+	// A stale serve follows a failed refresh attempt and is never
+	// captured: the entry keeps declining after the slow path served it.
 	up.set(func(_ context.Context, qname dnswire.Name, _ dnswire.Type) (*dnswire.Message, error) {
 		return nil, context.DeadlineExceeded
 	})
-	f2 := New(up, Config{Now: clock.Now, StaleWindow: -1})
-	if _, err := f2.HandleDNS(context.Background(), wireQueryMsg(1, "err.example.", false, true, true)); err != nil {
+	if _, err := f.HandleDNS(context.Background(), wireQueryMsg(3, "www.example.", false, true, true)); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := f2.ServeWire(scan(wireQueryMsg(2, "err.example.", false, true, true)), 0xFFFF, nil); ok {
-		t.Error("served an error-cache entry from the wire path")
+	if _, ok := f.ServeWire(wq, 0xFFFF, nil); ok {
+		t.Error("served a stale entry from the wire path after a stale slow-path serve")
+	}
+
+	// An error image is served only within the second its EDE 13
+	// countdown was captured in.
+	f2 := New(up, Config{Now: clock.Now, StaleWindow: -1})
+	errQ := wireQueryMsg(1, "err.example.", false, true, true)
+	if _, err := f2.HandleDNS(context.Background(), errQ); err != nil {
+		t.Fatal(err)
+	}
+	ewq := scan(wireQueryMsg(2, "err.example.", false, true, true))
+	if _, ok := f2.ServeWire(ewq, 0xFFFF, nil); ok {
+		t.Error("served the first failure's entry before any error-cache serve captured it")
+	}
+	if _, err := f2.HandleDNS(context.Background(), errQ); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := f2.ServeWire(ewq, 0xFFFF, nil); !ok {
+		t.Error("declined an error image within the second it was captured in")
+	}
+	clock.Advance(time.Second)
+	if _, ok := f2.ServeWire(ewq, 0xFFFF, nil); ok {
+		t.Error("served an error image after its EDE 13 countdown changed")
 	}
 }
 
@@ -230,9 +268,9 @@ func TestWireHitAllocGate(t *testing.T) {
 		return dnssecAnswer(qname, 300), nil
 	})
 	f := New(up, Config{Now: clock.Now})
-	if _, err := f.HandleDNS(context.Background(), wireQueryMsg(1, "www.example.", false, true, true)); err != nil {
-		t.Fatal(err)
-	}
+	// Fill, then the first cache hit captures the EDNS image.
+	primeWire(t, f, wireQueryMsg(1, "www.example.", false, true, true))
+	primeWire(t, f, wireQueryMsg(1, "www.example.", false, true, true))
 	clock.Advance(2 * time.Second) // force the TTL patch loop to run
 	raw, _ := wireQueryMsg(0x7777, "www.example.", false, true, true).Pack()
 	dst := make([]byte, 0, 4096)
@@ -262,20 +300,91 @@ func TestWireHitCountsMetrics(t *testing.T) {
 		return m, nil
 	})
 	f := New(up, Config{Now: clock.Now})
-	if _, err := f.HandleDNS(context.Background(), wireQueryMsg(1, "www.example.", false, true, true)); err != nil {
-		t.Fatal(err)
-	}
+	// Fill, then the first cache hit captures the EDNS image.
+	primeWire(t, f, wireQueryMsg(1, "www.example.", false, true, true))
+	primeWire(t, f, wireQueryMsg(1, "www.example.", false, true, true))
 	raw, _ := wireQueryMsg(2, "www.example.", false, true, true).Pack()
 	wq, _ := dnswire.ScanQuery(raw)
 	if _, ok := f.ServeWire(wq, 0xFFFF, nil); !ok {
 		t.Fatal("wire fast path declined")
 	}
 	snap := f.Metrics().Snapshot()
-	if snap.Queries != 2 || snap.Hits != 1 || snap.WireHits != 1 {
-		t.Errorf("metrics = %d queries / %d hits / %d wire hits, want 2/1/1",
+	if snap.Queries != 3 || snap.Hits != 2 || snap.WireHits != 1 {
+		t.Errorf("metrics = %d queries / %d hits / %d wire hits, want 3/2/1",
 			snap.Queries, snap.Hits, snap.WireHits)
 	}
-	if got := snap.EDECounts[uint16(ede.CodeStaleAnswer)]; got != 2 {
-		t.Errorf("EDE 3 emissions = %d, want 2 (slow-path fill + wire hit)", got)
+	if got := snap.EDECounts[uint16(ede.CodeStaleAnswer)]; got != 3 {
+		t.Errorf("EDE 3 emissions = %d, want 3 (slow-path fill + slow-path hit + wire hit)", got)
+	}
+
+	// An error-cache hit served from the wire moves every serving counter
+	// and every EDE emission (13 included) exactly as a slow-path hit
+	// does: two frontends see the same traffic, one answering its last
+	// hit on the slow path and one from the wire image.
+	servfailUp := &stubUpstream{}
+	servfailUp.set(func(_ context.Context, qname dnswire.Name, _ dnswire.Type) (*dnswire.Message, error) {
+		m := servfail(qname)
+		m.AddEDE(uint16(ede.CodeDNSSECBogus), "signature expired")
+		m.AddEDE(uint16(ede.CodeSignatureExpired), "")
+		return m, nil
+	})
+	errQ := wireQueryMsg(1, "err.example.", false, true, true)
+	raw, _ = wireQueryMsg(2, "err.example.", false, true, true).Pack()
+	errWQ, _ := dnswire.ScanQuery(raw)
+	serve := func(wire bool) *telemetry.Registry {
+		f := New(servfailUp, Config{Now: clock.Now})
+		reg := telemetry.NewRegistry()
+		f.RegisterMetrics(reg)
+		for i := 0; i < 2; i++ { // first failure, then the capturing error-cache hit
+			if _, err := f.HandleDNS(context.Background(), errQ); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !wire {
+			if _, err := f.HandleDNS(context.Background(), errQ); err != nil {
+				t.Fatal(err)
+			}
+		} else if _, ok := f.ServeWire(errWQ, 0xFFFF, nil); !ok {
+			t.Fatal("wire fast path declined a captured error image")
+		}
+		return reg
+	}
+	slowReg, wireReg := serve(false), serve(true)
+	events := []string{"hit", "error_serve", "miss", "wire_hit"}
+	codes := []string{"unassigned"}
+	for c := 0; c < edeCodeSlots-1; c++ {
+		codes = append(codes, strconv.Itoa(c))
+	}
+	if sv, _ := slowReg.Value("edelab_frontend_queries_total"); sv != 3 {
+		t.Errorf("slow path queries_total = %v, want 3", sv)
+	}
+	if wv, _ := wireReg.Value("edelab_frontend_queries_total"); wv != 3 {
+		t.Errorf("wire path queries_total = %v, want 3", wv)
+	}
+	for _, ev := range events {
+		l := telemetry.L("event", ev)
+		sv, _ := slowReg.Value("edelab_frontend_cache_events_total", l)
+		wv, _ := wireReg.Value("edelab_frontend_cache_events_total", l)
+		want := sv
+		if ev == "wire_hit" {
+			want = sv + 1
+		}
+		if wv != want {
+			t.Errorf("error hit: cache event %s = %v on the wire path, want %v (slow path %v)", ev, wv, want, sv)
+		}
+	}
+	if hits, _ := wireReg.Value("edelab_frontend_cache_events_total", telemetry.L("event", "error_serve")); hits != 2 {
+		t.Errorf("error_serve = %v, want 2 (one slow-path, one wire error-cache hit)", hits)
+	}
+	for _, c := range codes {
+		l := telemetry.L("code", c)
+		sv, _ := slowReg.Value("edelab_frontend_ede_emissions_total", l)
+		wv, _ := wireReg.Value("edelab_frontend_ede_emissions_total", l)
+		if sv != wv {
+			t.Errorf("error hit: EDE %s emissions = %v on the wire path, %v on the slow path", c, wv, sv)
+		}
+	}
+	if n, _ := wireReg.Value("edelab_frontend_ede_emissions_total", telemetry.L("code", "13")); n != 2 {
+		t.Errorf("EDE 13 emissions = %v, want 2 (slow-path and wire error-cache hits)", n)
 	}
 }

@@ -17,9 +17,10 @@ type metrics struct {
 	// truncations counts UDP responses cut down to the client's EDNS
 	// buffer size (TC=1 sent instead of an oversized datagram).
 	truncations *telemetry.Counter
-	// wireServes counts UDP responses answered by the wire fast path
-	// (pre-packed cache bytes patched in place, never touching Handler).
-	wireServes *telemetry.Counter
+	// wireServes counts responses answered by the wire fast path
+	// (pre-packed cache bytes patched in place, never touching Handler),
+	// by transport: UDP, TCP and DoT have one; DoH does not.
+	wireServes map[string]*telemetry.Counter
 	// batchRounds / batchDatagrams measure UDP read batching: datagrams
 	// per round is their ratio (1.0 means no batching benefit).
 	batchRounds    *telemetry.Counter
@@ -35,6 +36,8 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 		errors:  make(map[string]*telemetry.Counter, len(transports)),
 		sheds:   make(map[string]*telemetry.Counter, len(transports)),
 		open:    make(map[string]*telemetry.Gauge, len(transports)),
+		// DoH has no wire path: net/http owns its framing.
+		wireServes: make(map[string]*telemetry.Counter, 3),
 	}
 	for _, tr := range transports {
 		l := telemetry.L("transport", tr)
@@ -53,9 +56,11 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 	m.truncations = reg.Counter("edelab_frontdoor_truncations_total",
 		"UDP responses truncated to the client's advertised EDNS buffer size.",
 		telemetry.L("transport", TransportUDP))
-	m.wireServes = reg.Counter("edelab_frontdoor_wire_serves_total",
-		"UDP responses served from pre-packed wire-cache bytes.",
-		telemetry.L("transport", TransportUDP))
+	for _, tr := range []string{TransportUDP, TransportTCP, TransportDoT} {
+		m.wireServes[tr] = reg.Counter("edelab_frontdoor_wire_serves_total",
+			"Responses served from pre-packed wire-cache bytes without the Handler, by transport (UDP, TCP, DoT).",
+			telemetry.L("transport", tr))
+	}
 	m.batchRounds = reg.Counter("edelab_frontdoor_udp_batch_rounds_total",
 		"UDP receive rounds (one recvmmsg or ReadFrom call each).")
 	m.batchDatagrams = reg.Counter("edelab_frontdoor_udp_batch_datagrams_total",

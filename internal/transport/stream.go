@@ -1,8 +1,10 @@
 package transport
 
 import (
+	"bufio"
 	"context"
 	"crypto/tls"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -114,11 +116,31 @@ func (s *Server) shedConn(conn net.Conn, transport string) {
 	shedReply(q, "server overloaded: connection limit reached").WriteStream(conn)
 }
 
-// serveStream is the transport-agnostic core: a read loop that admits each
-// framed query into a bounded per-connection pipeline and answers it from
-// its own goroutine, so responses go out in completion order, not arrival
-// order. A write mutex keeps frames whole; WriteStream's single Write call
-// means no interleaving even mid-frame.
+// streamReadSize is the per-connection read buffer: one read syscall
+// drains up to this many bytes of pipelined frames.
+const streamReadSize = 4 << 10
+
+// streamFlushSize is how many bytes of inline wire answers the read loop
+// holds back, at most, before writing them while input is still buffered.
+const streamFlushSize = 16 << 10
+
+// batchPool recycles the batches of inline wire answers across
+// connections: a connection holds one only between its first inline
+// answer and the next flush, so an idle connection pins none.
+var batchPool = sync.Pool{New: func() any {
+	b := make([]byte, 0, streamFlushSize+streamReadSize)
+	return &b
+}}
+
+// serveStream is the transport-agnostic core. The read loop drains framed
+// queries through one buffered reader. A query the wire fast path can
+// answer is answered inline: its length-prefixed reply joins a
+// per-connection batch, written in one Write whenever the reader holds no
+// whole frame (the next read may block on the socket) or the batch passes
+// streamFlushSize. Every other query is admitted into a bounded
+// per-connection pipeline and answered from its own goroutine, so
+// responses go out in completion order, not arrival order. A write mutex
+// keeps frames whole: every write is whole frames in a single Write call.
 func (s *Server) serveStream(ctx context.Context, conn net.Conn, transport string) {
 	defer conn.Close()
 	s.m.open[transport].Add(1)
@@ -129,19 +151,64 @@ func (s *Server) serveStream(ctx context.Context, conn net.Conn, transport strin
 	var wg sync.WaitGroup
 	defer wg.Wait()
 
+	br := bufio.NewReaderSize(conn, streamReadSize)
+	// frame is reused for every query: the wire path keeps nothing of it
+	// but the qname ScanQuery copies, and Unpack gives the slow path a
+	// message that never aliases it.
+	var frame []byte
+	var batch *[]byte // from batchPool; nil while nothing is queued
+	flush := func() {
+		if batch == nil {
+			return
+		}
+		if len(*batch) > 0 {
+			s.writeFrames(conn, &wmu, transport, *batch)
+		}
+		// A batch that one huge reply grew is left to the GC, not pooled.
+		if cap(*batch) <= 2*streamFlushSize {
+			*batch = (*batch)[:0]
+			batchPool.Put(batch)
+		}
+		batch = nil
+	}
+	defer flush()
+
 	for {
 		if ctx.Err() != nil {
 			return
 		}
+		if !frameBuffered(br) {
+			flush() // the next read may block: answer what is queued first
+		}
+		if cap(frame) > streamReadSize {
+			frame = nil // do not pin a rare large query's buffer
+		}
 		conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
-		q, err := dnswire.ReadStream(conn)
+		var err error
+		frame, err = readFrame(br, frame)
 		if err != nil {
 			// EOF, idle timeout, and shutdown-induced deadline are the
-			// normal ends of a connection; anything else (a malformed
-			// frame, a mid-frame disconnect) counts as an error.
+			// normal ends of a connection; anything else (a mid-frame
+			// disconnect) counts as an error.
 			if err != io.EOF && !os.IsTimeout(err) && !errors.Is(err, net.ErrClosed) {
 				s.m.errors[transport].Inc()
 			}
+			return
+		}
+		if batch == nil {
+			batch = batchPool.Get().(*[]byte)
+		}
+		if out, ok := s.appendStreamWire(*batch, frame); ok {
+			s.m.queries[transport].Inc()
+			s.m.wireServes[transport].Inc()
+			if *batch = out; len(out) >= streamFlushSize {
+				flush()
+			}
+			continue
+		}
+		q, err := dnswire.Unpack(frame)
+		if err != nil {
+			s.m.errors[transport].Inc() // a malformed frame ends the connection
 			return
 		}
 		s.m.queries[transport].Inc()
@@ -165,6 +232,65 @@ func (s *Server) serveStream(ctx context.Context, conn net.Conn, transport strin
 			}
 		}(q)
 	}
+}
+
+// frameBuffered reports whether br already holds one whole frame, so
+// reading it cannot block on the connection.
+func frameBuffered(br *bufio.Reader) bool {
+	n := br.Buffered()
+	if n < 2 {
+		return false
+	}
+	hdr, _ := br.Peek(2)
+	return n >= 2+int(binary.BigEndian.Uint16(hdr))
+}
+
+// readFrame reads one length-prefixed message from br into buf's storage,
+// growing it when needed. A connection that ends between frames yields
+// io.EOF; one that ends inside a frame yields io.ErrUnexpectedEOF.
+func readFrame(br *bufio.Reader, buf []byte) ([]byte, error) {
+	hi, err := br.ReadByte()
+	if err != nil {
+		return buf, err
+	}
+	lo, err := br.ReadByte()
+	if err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return buf, err
+	}
+	n := int(hi)<<8 | int(lo)
+	if cap(buf) < n {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
+	if _, err = io.ReadFull(br, buf); err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return buf, err
+}
+
+// appendStreamWire answers one framed query from the wire fast path,
+// appending the length-prefixed reply to batch. ok=false leaves batch as
+// it was and sends the query down the Handler path. So does an EDNS query
+// on a server that advertises edns-tcp-keepalive: the Handler path adds
+// the option when it packs the reply, and cache images do not carry it.
+func (s *Server) appendStreamWire(batch, frame []byte) ([]byte, bool) {
+	if s.wire == nil {
+		return batch, false
+	}
+	wq, ok := dnswire.ScanQuery(frame)
+	if !ok || (s.cfg.TCPKeepalive > 0 && wq.HasEDNS) {
+		return batch, false
+	}
+	at := len(batch)
+	out, ok := s.wire.ServeWire(wq, 0xFFFF, append(batch, 0, 0))
+	if !ok {
+		return batch, false
+	}
+	binary.BigEndian.PutUint16(out[at:], uint16(len(out)-at-2))
+	return out, true
 }
 
 // advertiseKeepalive returns a copy of resp whose OPT carries an
@@ -200,10 +326,16 @@ func (s *Server) writeStream(conn net.Conn, wmu *sync.Mutex, transport string, r
 		s.m.errors[transport].Inc()
 		return
 	}
+	s.writeFrames(conn, wmu, transport, wire)
+}
+
+// writeFrames writes whole length-prefixed frames in one Write under the
+// connection's write mutex, with a bounded deadline.
+func (s *Server) writeFrames(conn net.Conn, wmu *sync.Mutex, transport string, frames []byte) {
 	wmu.Lock()
 	defer wmu.Unlock()
 	conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-	if _, err := conn.Write(wire); err != nil {
+	if _, err := conn.Write(frames); err != nil {
 		s.m.errors[transport].Inc()
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"github.com/extended-dns-errors/edelab/internal/dnswire"
 	"github.com/extended-dns-errors/edelab/internal/ede"
 	"github.com/extended-dns-errors/edelab/internal/netsim"
+	"github.com/extended-dns-errors/edelab/internal/telemetry"
 )
 
 // echoHandler answers every query NOERROR with a fixed A record, after an
@@ -247,4 +248,57 @@ func assertEDE(t *testing.T, m *dnswire.Message, code uint16) {
 		}
 	}
 	t.Errorf("response EDEs = %v, want code %d", m.EDECodes(), code)
+}
+
+// fixedWire answers every scanned query from the wire fast path with a
+// bare NOERROR reply.
+type fixedWire struct{}
+
+func (fixedWire) ServeWire(q dnswire.WireQuery, limit int, dst []byte) ([]byte, bool) {
+	r := &dnswire.Message{ID: q.ID, Response: true, RecursionDesired: q.RD,
+		Question: []dnswire.Question{{Name: q.Name, Type: q.Type, Class: q.Class}}}
+	out, err := r.AppendPack(dst)
+	return out, err == nil && len(out)-len(dst) <= limit
+}
+
+// TestStreamWireFlushesBeforeBlocking: inline wire answers are batched,
+// but never held while the reader waits on the socket — including when
+// the buffered input ends inside a frame, as when a client (or TCP
+// segmentation) delivers half of the next query.
+func TestStreamWireFlushesBeforeBlocking(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	addr, _, _, _ := startTCP(t, Config{Handler: echoHandler(nil), Wire: fixedWire{}, Registry: reg})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn.Close()
+	frame := func(id uint16) []byte {
+		wire, err := dnswire.NewQuery(id, dnswire.MustName("a.example"), dnswire.TypeA).AppendStream(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return wire
+	}
+	first, second := frame(1), frame(2)
+	if _, err := conn.Write(append(first, second[:3]...)); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(3 * time.Second))
+	resp, err := dnswire.ReadStream(conn)
+	if err != nil || resp.ID != 1 {
+		t.Fatalf("first reply held back behind a partial frame: %v %+v", err, resp)
+	}
+	if _, err := conn.Write(second[3:]); err != nil {
+		t.Fatal(err)
+	}
+	if resp, err = dnswire.ReadStream(conn); err != nil || resp.ID != 2 {
+		t.Fatalf("second reply: %v %+v", err, resp)
+	}
+	tcp := telemetry.L("transport", TransportTCP)
+	for _, name := range []string{"edelab_frontdoor_queries_total", "edelab_frontdoor_wire_serves_total"} {
+		if n, _ := reg.Value(name, tcp); n != 2 {
+			t.Errorf("%s{tcp} = %v, want 2", name, n)
+		}
+	}
 }

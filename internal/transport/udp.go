@@ -130,7 +130,7 @@ func (s *Server) serveDatagram(ctx context.Context, io udpIO, i int, conn net.Pa
 			}
 			if out, served := s.wire.ServeWire(wq, limit, io.respBuf(i)); served {
 				s.m.queries[TransportUDP].Inc()
-				s.m.wireServes.Inc()
+				s.m.wireServes[TransportUDP].Inc()
 				io.queue(i, out)
 				return
 			}
