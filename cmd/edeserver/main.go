@@ -25,7 +25,7 @@
 // coalescing, RFC 8767 serve-stale (EDE 3/19), an error cache (EDE 13), and
 // overload shedding. Clients receive the Extended DNS Errors themselves:
 //
-//	edeserver -addr 127.0.0.1:5353 -mode resolver -metrics &
+//	edeserver -addr 127.0.0.1:5353 -mode resolver &
 //	ededig -server 127.0.0.1:5353 rrsig-exp-all.extended-dns-errors.com
 //
 // With -admin an HTTP admin plane comes up alongside the DNS socket:
@@ -39,14 +39,9 @@
 // -trace-sample N records every Nth query's full resolution trace — the
 // delegation walk, cache decisions, per-server transport attempts, DNSSEC
 // verdicts, and where each EDE attached — into a bounded ring readable at
-// /api/trace. /debug/pprof/* is also served.
-//
-// With -metrics the serving counters (hits, misses, stale serves, coalesced
-// waits, per-EDE emissions, ...) are printed on SIGINT. This stderr dump is
-// deprecated in favour of scraping the admin plane's /metrics; it remains
-// for scripts that parse the exit-time summary. -no-frontend bypasses the
-// serving layer and runs one full recursion per packet, the pre-frontend
-// behaviour, for comparison.
+// /api/trace. /debug/pprof/* is also served. The serving counters (hits,
+// misses, stale serves, coalesced waits, per-EDE emissions, ...) are read
+// from /metrics.
 package main
 
 import (
@@ -76,8 +71,6 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:5353", "UDP listen address")
 	mode := flag.String("mode", "auth", "auth: serve the zones authoritatively; resolver: front a validating recursive resolver with EDE")
 	profileName := flag.String("profile", "cloudflare", "vendor profile for -mode resolver")
-	noFrontend := flag.Bool("no-frontend", false, "bypass the caching frontend in -mode resolver (one recursion per packet)")
-	metrics := flag.Bool("metrics", false, "print frontend serving metrics on SIGINT (deprecated: scrape -admin /metrics instead)")
 	admin := flag.String("admin", "", "HTTP admin plane address, e.g. 127.0.0.1:9970 (/metrics, /metrics.json, /healthz, /api/trace, /debug/pprof)")
 	traceSample := flag.Uint64("trace-sample", 0, "record every Nth query's resolution trace into the /api/trace ring (0 = off; needs -admin to read back)")
 	traceRing := flag.Int("trace-ring", 256, "capacity of the sampled-trace ring buffer")
@@ -207,36 +200,19 @@ func main() {
 			res.Transport = tcfg
 		}
 		res.RegisterMetrics(reg)
-		var front netsim.Handler
-		var fe *frontend.Frontend
-		if *noFrontend {
-			front = directHandler(res)
-		} else {
-			fe = frontend.New(forwarder.ResolverUpstream{R: res}, fcfg)
-			fe.RegisterMetrics(reg)
-			front = fe
-		}
-		front = tracedHandler(front, sampler, tlog)
+		fe := frontend.New(forwarder.ResolverUpstream{R: res}, fcfg)
+		fe.RegisterMetrics(reg)
 		// The wire fast path is handed over explicitly: tracedHandler may
-		// wrap the frontend in a plain HandlerFunc (hiding its WireServer
-		// implementation from NewServer's auto-detect), and without tracing
-		// it returns the frontend bare (which auto-detect would find even
-		// under -no-wire-cache) — so both wire and disableWire are always
-		// set here. Wire hits bypass tracing: they never start a
-		// resolution, so there is no trace. That includes error-cache
-		// hits (the SERVFAIL+EDE answers) on UDP, TCP and DoT;
+		// wrap the frontend in a plain HandlerFunc, hiding its WireServer
+		// implementation from NewServer's auto-detect (-no-wire-cache still
+		// turns it off through disableWire). Wire hits bypass tracing: they
+		// never start a resolution, so there is no trace. That includes
+		// error-cache hits (the SERVFAIL+EDE answers) on UDP, TCP and DoT;
 		// -no-wire-cache sends them back through the traced Handler.
-		var wire transport.WireServer
-		if fe != nil && !*noWireCache {
-			wire = fe
-		}
-		fdOpts.wire = wire
-		if err := serveFrontDoor(ctx, conns, front, reg, fdOpts); err != nil && ctx.Err() == nil {
+		fdOpts.wire = fe
+		if err := serveFrontDoor(ctx, conns, tracedHandler(fe, sampler, tlog), reg, fdOpts); err != nil && ctx.Err() == nil {
 			fmt.Fprintf(os.Stderr, "edeserver: %v\n", err)
 			os.Exit(1)
-		}
-		if *metrics && fe != nil {
-			fmt.Printf("\nfrontend metrics (cache entries: %d)\n%s", fe.CacheLen(), fe.Metrics().Snapshot())
 		}
 		return
 	}
@@ -401,33 +377,6 @@ func tracedHandler(h netsim.Handler, sampler *telemetry.Sampler, tlog *telemetry
 		tr.Root().End()
 		tlog.Add(tr)
 		return resp, err
-	})
-}
-
-// directHandler runs one full recursion per query, bypassing the serving
-// layer. The resolver's message may be shared with its internal cache, so
-// the response is re-headed into a fresh reply for this client rather than
-// mutating the resolver's copy in place.
-func directHandler(res *resolver.Resolver) netsim.Handler {
-	return netsim.HandlerFunc(func(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
-		if len(q.Question) == 0 {
-			r := q.Reply()
-			r.RCode = dnswire.RCodeFormErr
-			return r, nil
-		}
-		msg := res.Resolve(ctx, q.Question[0].Name, q.Question[0].Type).Msg
-		out := q.Reply()
-		out.RCode = msg.RCode
-		out.RecursionAvailable = true
-		out.AuthenticData = msg.AuthenticData
-		out.Answer = append([]dnswire.RR(nil), msg.Answer...)
-		out.Authority = append([]dnswire.RR(nil), msg.Authority...)
-		if q.OPT != nil {
-			for _, e := range msg.EDEs() {
-				out.AddEDE(e.InfoCode, e.ExtraText)
-			}
-		}
-		return out, nil
 	})
 }
 

@@ -1,6 +1,7 @@
 // Live-udp: serve a deliberately broken DNSSEC zone on a real UDP socket
 // and query it with an EDE-aware stub — the same wire format end to end,
-// outside the simulator.
+// outside the simulator. The zone is served through the transport front
+// door, the same path edeserver -mode auth takes.
 //
 // Run with: go run ./examples/live-udp
 package main
@@ -16,6 +17,7 @@ import (
 	"github.com/extended-dns-errors/edelab/internal/authserver"
 	"github.com/extended-dns-errors/edelab/internal/dnswire"
 	"github.com/extended-dns-errors/edelab/internal/ede"
+	"github.com/extended-dns-errors/edelab/internal/transport"
 	"github.com/extended-dns-errors/edelab/internal/zone"
 )
 
@@ -39,7 +41,8 @@ func main() {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go func() {
-		if err := authserver.ServeUDP(ctx, conn, authserver.New(z)); err != nil && ctx.Err() == nil {
+		srv := transport.NewServer(transport.Config{Handler: authserver.New(z)})
+		if err := srv.ServeUDP(ctx, conn); err != nil && ctx.Err() == nil {
 			log.Print(err)
 		}
 	}()
@@ -50,7 +53,7 @@ func main() {
 	qctx, qcancel := context.WithTimeout(ctx, 2*time.Second)
 	defer qcancel()
 	q := dnswire.NewQuery(1, dnswire.MustName("live.example"), dnswire.TypeA)
-	resp, err := authserver.QueryUDP(qctx, addr, q)
+	resp, err := transport.QueryUDP(qctx, addr, q)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,8 +1,9 @@
-// Package authserver implements an authoritative DNS server over the netsim
-// transport and over real UDP. It serves zone.Zone data with AA answers,
-// referrals with glue, DNSSEC records when the query sets DO, NSEC3 denial
-// of existence, and the access-control and degraded behaviours the paper's
-// testbed needs (allow-query-none, allow-query-localhost).
+// Package authserver implements an authoritative DNS handler. It serves
+// zone.Zone data with AA answers, referrals with glue, DNSSEC records when
+// the query sets DO, NSEC3 denial of existence, and the access-control and
+// degraded behaviours the paper's testbed needs (allow-query-none,
+// allow-query-localhost). The handler answers over netsim in simulation and
+// over real sockets through internal/transport's front door.
 package authserver
 
 import (

@@ -82,8 +82,7 @@ type cacheShard struct {
 	lru   *list.List
 }
 
-// Cache is the sharded serving cache. Unlike the resolver's global-mutex
-// cache (internal/resolver/cache.go), lookups here contend only within one
+// Cache is the sharded serving cache. Lookups contend only within one
 // FNV-selected shard, and total size is bounded with per-shard LRU
 // eviction.
 type Cache struct {

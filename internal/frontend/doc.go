@@ -11,8 +11,8 @@
 //	client → frontend (cache, coalescing, stale, backpressure) → resolver → authorities
 //
 // This package provides that layer as a netsim.Handler, so it plugs into
-// both the simulated network and the real-UDP/TCP front ends in
-// internal/authserver. It composes five mechanisms:
+// both the simulated network and the UDP/TCP/DoT/DoH front door in
+// internal/transport. It composes five mechanisms:
 //
 //   - A sharded message cache (FNV-distributed shards, per-shard lock and
 //     LRU) bounding memory and removing the global-mutex serving bottleneck.
@@ -31,5 +31,6 @@
 //     with EXTRA-TEXT saying why, never an unbounded goroutine pile.
 //
 // All serving decisions are counted in a Metrics registry with a lock-free
-// Snapshot accessor, exposed by cmd/edeserver via its -metrics flag.
+// Snapshot accessor; RegisterMetrics exports them on the admin plane's
+// /metrics.
 package frontend

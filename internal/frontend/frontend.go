@@ -216,6 +216,16 @@ func (f *Frontend) HandleDNS(ctx context.Context, q *dnswire.Message) (*dnswire.
 // fold the outcome into the cache, degrading to stale or error-cache data
 // on failure.
 func (f *Frontend) fetch(ctx context.Context, k key) *served {
+	// A client that missed the cache can become a leader just after the
+	// previous flight stored its answer and ended. Re-check the cache so it
+	// serves that answer as a hit instead of starting a second recursion.
+	if e, fresh, ok := f.cache.get(k, f.cfg.Now(), f.cfg.StaleWindow); ok && fresh {
+		f.metrics.hits.Add(1)
+		if e.isError {
+			return &served{mode: modeCachedError, e: e, hit: true}
+		}
+		return &served{mode: modeFresh, e: e, hit: true}
+	}
 	// Cross-replica peek: before paying for a recursion (or an overload
 	// shed), ask the cluster whether the owning replica already has a fresh
 	// answer for this question.

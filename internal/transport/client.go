@@ -14,9 +14,37 @@ import (
 	"github.com/extended-dns-errors/edelab/internal/dnswire"
 )
 
-// Client-side query helpers for the stream and HTTP transports, used by
-// ededig, the conformance suite, and the CI smoke job. The UDP client
-// counterpart lives in authserver.QueryUDP.
+// Client-side query helpers for every transport, used by ededig, the
+// live-udp example, the conformance suite, and the CI smoke job.
+
+// QueryUDP sends one query to addr over UDP and parses the response. It is
+// the client half used by cmd/ededig and tests.
+func QueryUDP(ctx context.Context, addr string, q *dnswire.Message) (*dnswire.Message, error) {
+	var d net.Dialer
+	conn, err := d.DialContext(ctx, "udp", addr)
+	if err != nil {
+		return nil, err
+	}
+	defer conn.Close()
+	if deadline, ok := ctx.Deadline(); ok {
+		if err := conn.SetDeadline(deadline); err != nil {
+			return nil, err
+		}
+	}
+	wire, err := q.Pack()
+	if err != nil {
+		return nil, err
+	}
+	if _, err := conn.Write(wire); err != nil {
+		return nil, err
+	}
+	buf := make([]byte, 65535)
+	n, err := conn.Read(buf)
+	if err != nil {
+		return nil, err
+	}
+	return dnswire.Unpack(buf[:n])
+}
 
 // QueryTCP sends one framed query over a fresh TCP connection and reads
 // one response.

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/extended-dns-errors/edelab/internal/authserver"
 	"github.com/extended-dns-errors/edelab/internal/dnswire"
 	"github.com/extended-dns-errors/edelab/internal/forwarder"
 	"github.com/extended-dns-errors/edelab/internal/frontend"
@@ -172,12 +171,12 @@ func TestTransportParity(t *testing.T) {
 				// from later ones (the error cache appends EDE 13 on
 				// hits), and that difference is cache state, not
 				// transport behaviour.
-				if _, err := authserver.QueryUDP(ctx, fd.udpAddr, mkQuery()); err != nil {
+				if _, err := QueryUDP(ctx, fd.udpAddr, mkQuery()); err != nil {
 					t.Fatalf("warmup query: %v", err)
 				}
 
 				// UDP is the reference transport every other one must match.
-				ref, err := authserver.QueryUDP(ctx, fd.udpAddr, mkQuery())
+				ref, err := QueryUDP(ctx, fd.udpAddr, mkQuery())
 				if err != nil {
 					t.Fatalf("udp query: %v", err)
 				}
