@@ -3,6 +3,8 @@ package campaign
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"os"
 	"path/filepath"
@@ -304,5 +306,28 @@ func TestCampaignTelemetry(t *testing.T) {
 	}
 	if _, ok := reg.Value("edelab_campaign_domains_per_second", telemetry.L("shard", "0")); !ok {
 		t.Fatal("domains_per_second not registered")
+	}
+}
+
+// scanGolden is the SHA-256 of the canonical aggregate of a single-worker
+// campaign over population seed 42 at 3,030 domains (Cloudflare profile).
+// The population's keys are random, but no verdict may depend on them, so
+// the digest is fixed. Changes to how authorities prove or the resolver
+// validates must leave it alone; a legitimate change to the aggregate
+// itself regenerates it from the failure message.
+const scanGolden = "26e20f0ec0ca4c97308d964fc87681fce862c40928d73d637706ad291c0dfd89"
+
+func TestCampaignAggregateGolden(t *testing.T) {
+	r, err := New(Config{Workers: 1}, buildWild(t, 3030))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := r.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(snap.AggregateBytes())
+	if got := hex.EncodeToString(sum[:]); got != scanGolden {
+		t.Fatalf("single-worker aggregate digest %s, golden %s", got, scanGolden)
 	}
 }

@@ -228,3 +228,56 @@ func TestNameWithEscapedBytesRoundTrips(t *testing.T) {
 		t.Errorf("round trip %q -> %q", n, back.Question[0].Name)
 	}
 }
+
+// TestNameHelpersMatchLabels pins the allocation-free helpers to their
+// Labels-based definitions, escapes included.
+func TestNameHelpersMatchLabels(t *testing.T) {
+	names := []string{".", "com", "example.com", `a\.b.example`, `x\032y.z`, `\\.a`, "*.w.example", `\000.c`}
+	for _, s := range names {
+		n := MustName(s)
+		labels := n.Labels()
+		if got := n.LabelCount(); got != len(labels) {
+			t.Errorf("%q: LabelCount %d, want %d", n, got, len(labels))
+		}
+		wantParent := Root
+		if len(labels) > 1 {
+			wantParent = Name(strings.Join(labels[1:], ".") + ".")
+		}
+		if got := n.Parent(); got != wantParent {
+			t.Errorf("%q: Parent %q, want %q", n, got, wantParent)
+		}
+		wantLen := 1
+		for _, l := range labels {
+			wantLen += len(unescapeLabel(l)) + 1
+		}
+		if got := n.WireLength(); got != wantLen {
+			t.Errorf("%q: WireLength %d, want %d", n, got, wantLen)
+		}
+		if a := testing.AllocsPerRun(10, func() { _, _, _ = n.LabelCount(), n.Parent(), n.WireLength() }); a != 0 {
+			t.Errorf("%q: name helpers allocate %.0f/op", n, a)
+		}
+	}
+}
+
+// TestChildMatchesMustName: the plain-label shortcut in Child must give
+// exactly what parsing the joined string gives, and fall back to parsing
+// (and its panic) for anything else.
+func TestChildMatchesMustName(t *testing.T) {
+	parents := []Name{Root, MustName("com"), MustName(`a\.b.example`), MustName(strings.Repeat("abcdefgh.", 27))}
+	labels := []string{"www", "ns1", "*", "-x_y", "UPPER", "\000", "a.b", `back\slash`, "sp ace", strings.Repeat("z", 63), "0123456789abcdefghijklmnopqrstuv"}
+	for _, p := range parents {
+		for _, l := range labels {
+			want, wantErr := NewName(l + "." + string(p))
+			if p.IsRoot() {
+				want, wantErr = NewName(l + ".")
+			}
+			got, panicked := func() (n Name, panicked bool) {
+				defer func() { panicked = recover() != nil }()
+				return p.Child(l), false
+			}()
+			if panicked != (wantErr != nil) || got != want {
+				t.Errorf("%q.Child(%q) = %q (panic %v), want %q (err %v)", p, l, got, panicked, want, wantErr)
+			}
+		}
+	}
+}
