@@ -40,17 +40,19 @@ func (r *Resolver) RegisterMetrics(reg *telemetry.Registry) {
 		"Average upstream queries per client resolution (query amplification).",
 		r.QueriesPerResolution)
 
-	cacheEvent := func(layer, event string, c *atomic.Uint64) {
-		reg.CounterFunc("edelab_resolver_cache_events_total",
-			"Cache outcomes by layer: answer-cache hits/misses, stale and cached-error serves, delegation-cache hits/misses.",
-			c.Load, telemetry.L("layer", layer), telemetry.L("event", event))
+	const cacheHelp = "Cache outcomes by layer: answer-cache hits/misses, stale and cached-error serves, delegation-cache hits/misses, signature-cache hits/misses (a sig miss is one cryptographic verification)."
+	cacheEvent := func(layer, event string, fn func() uint64) {
+		reg.CounterFunc("edelab_resolver_cache_events_total", cacheHelp,
+			fn, telemetry.L("layer", layer), telemetry.L("event", event))
 	}
-	cacheEvent("answer", "hit", &r.stats.answerHits)
-	cacheEvent("answer", "miss", &r.stats.answerMisses)
-	cacheEvent("answer", "stale_serve", &r.stats.staleServes)
-	cacheEvent("answer", "error_serve", &r.stats.cachedErrorServes)
-	cacheEvent("delegation", "hit", &r.stats.delegationHits)
-	cacheEvent("delegation", "miss", &r.stats.delegationMisses)
+	cacheEvent("answer", "hit", r.stats.answerHits.Load)
+	cacheEvent("answer", "miss", r.stats.answerMisses.Load)
+	cacheEvent("answer", "stale_serve", r.stats.staleServes.Load)
+	cacheEvent("answer", "error_serve", r.stats.cachedErrorServes.Load)
+	cacheEvent("delegation", "hit", r.stats.delegationHits.Load)
+	cacheEvent("delegation", "miss", r.stats.delegationMisses.Load)
+	cacheEvent("sig", "hit", func() uint64 { hits, _ := r.Cache.sigs.Stats(); return hits })
+	cacheEvent("sig", "miss", func() uint64 { _, misses := r.Cache.sigs.Stats(); return misses })
 
 	reg.GaugeFunc("edelab_resolver_cache_entries",
 		"Live entries per cache layer.",
