@@ -21,18 +21,13 @@ const MaxNSEC3Iterations = 500
 func NSEC3Hash(name dnswire.Name, iterations uint16, salt []byte) []byte {
 	// Wire form of the owner name, uncompressed, lower case (Name is
 	// already canonical lower case).
-	wire := nameWire(name)
-	h := sha1.New()
-	h.Write(wire)
-	h.Write(salt)
-	digest := h.Sum(nil)
+	buf := append(name.AppendWire(make([]byte, 0, name.WireLength()+len(salt))), salt...)
+	digest := sha1.Sum(buf)
 	for i := 0; i < int(iterations); i++ {
-		h.Reset()
-		h.Write(digest)
-		h.Write(salt)
-		digest = h.Sum(digest[:0])
+		buf = append(append(buf[:0], digest[:]...), salt...)
+		digest = sha1.Sum(buf)
 	}
-	return digest
+	return digest[:]
 }
 
 // NSEC3HashName returns the hashed owner label for name within zone:
@@ -40,38 +35,6 @@ func NSEC3Hash(name dnswire.Name, iterations uint16, salt []byte) []byte {
 func NSEC3HashName(name, zone dnswire.Name, iterations uint16, salt []byte) dnswire.Name {
 	label := dnswire.Base32HexNoPad(NSEC3Hash(name, iterations, salt))
 	return zone.Child(label)
-}
-
-// nameWire encodes a name in uncompressed wire form.
-func nameWire(n dnswire.Name) []byte {
-	out := make([]byte, 0, n.WireLength())
-	for _, l := range n.Labels() {
-		raw := unescape(l)
-		out = append(out, byte(len(raw)))
-		out = append(out, raw...)
-	}
-	return append(out, 0)
-}
-
-func unescape(l string) []byte {
-	var out []byte
-	for i := 0; i < len(l); i++ {
-		c := l[i]
-		if c == '\\' && i+1 < len(l) {
-			next := l[i+1]
-			if next >= '0' && next <= '9' && i+3 < len(l) {
-				v := int(next-'0')*100 + int(l[i+2]-'0')*10 + int(l[i+3]-'0')
-				out = append(out, byte(v))
-				i += 3
-				continue
-			}
-			out = append(out, next)
-			i++
-			continue
-		}
-		out = append(out, c)
-	}
-	return out
 }
 
 // CoversHash reports whether an NSEC3 record with owner hash ownerHash and

@@ -321,7 +321,7 @@ func TestRRSIGSignedDataExcludesSignature(t *testing.T) {
 	s := RRSIG{TypeCovered: TypeA, Algorithm: 13, Labels: 2, OriginalTTL: 300,
 		Expiration: 100, Inception: 50, KeyTag: 1,
 		SignerName: MustName("example.com"), Signature: []byte{1, 2, 3}}
-	data := s.SignedData()
+	data := s.AppendSignedData(nil)
 	full := newBuilder(false, nil)
 	s.encode(full)
 	if len(data) != len(full.buf)-3 {
